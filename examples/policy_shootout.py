@@ -55,7 +55,7 @@ POLICIES = {
     "M": lambda: SpatialPolicy("M"),
     "EM": lambda: SpatialPolicy("EM"),
     "EO": lambda: SpatialPolicy("EO"),
-    "SLRU 25%": lambda: SLRU(fraction=0.25),
+    "SLRU 25%": lambda: SLRU(candidate_fraction=0.25),
     "ASB": ASB,
     "2Q": TwoQ,
     "ARC": ARC,

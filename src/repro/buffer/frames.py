@@ -25,7 +25,7 @@ caches of :mod:`repro.tuning`):
   so a hit is O(1) pointer surgery and recency-based policies walk victims
   off the head instead of sorting or scanning the whole table.
 
-Chain invariants (see docs/architecture.md "Hot path"):
+Chain invariants (see docs/architecture.md "The hot path"):
 
 1. every frame in the dict is on the chain exactly once; no other frame is;
 2. chain order equals ascending ``last_access`` — the manager's logical
@@ -36,14 +36,8 @@ Chain invariants (see docs/architecture.md "Hot path"):
    :meth:`~FrameTable.clear` only; the raw ``dict`` mutators are disabled
    because they would silently desynchronise the chain.
 
-Invariant 2 holds *at every read*, not after every hit: a hit appends the
-frame to :attr:`FrameTable.pending` (one C-level list append) and the
-pointer surgery is replayed in batch — deduplicated, in access order — the
-next time anything reads the chain (:attr:`~FrameTable.head` /
-:attr:`~FrameTable.tail` / :meth:`~FrameTable.iter_recency`) or mutates it
-(:meth:`~FrameTable.admit` / :meth:`~FrameTable.adopt` /
-:meth:`~FrameTable.remove`).  Frame timestamps are always eager; only the
-chain *order* is deferred, which no reader can observe.
+A hit splices its frame to the tail at once, so the invariants hold after
+every call.
 """
 
 from __future__ import annotations
@@ -58,10 +52,8 @@ from repro.storage.page import Page, PageId
 class Frame:
     """One buffer slot holding a resident page.
 
-    ``eq=False`` keeps identity comparison and hashing: the deferred
-    recency splice (:meth:`FrameTable.move_to_tail`) dedupes pending
-    frames through a dict, and two frames are never "equal" anyway —
-    each resident page has exactly one.
+    ``eq=False`` keeps identity comparison and hashing: two frames are
+    never "equal" — each resident page has exactly one.
     """
 
     page: Page
@@ -109,12 +101,7 @@ class FrameTable(dict):
     module docstring for the invariants.
     """
 
-    __slots__ = ("slots", "_free", "_head", "_tail", "pending", "log", "flush_hook")
-
-    #: Pending recency renewals are spliced in batch once the buffer grows
-    #: this long, bounding its memory on hit-only streams; chain readers
-    #: flush it regardless, so the threshold is invisible to correctness.
-    PENDING_LIMIT = 4096
+    __slots__ = ("slots", "_free", "_head", "_tail")
 
     def __init__(self) -> None:
         super().__init__()
@@ -124,20 +111,6 @@ class FrameTable(dict):
         self._free: list[Frame] = []
         self._head: Frame | None = None
         self._tail: Frame | None = None
-        #: Deferred recency renewals, in access order (may repeat frames).
-        #: A hit only appends here; the O(1) pointer surgery happens in
-        #: :meth:`_flush_pending`, deduplicated, the next time anything
-        #: reads or mutates the chain.
-        self.pending: list[Frame] = []
-        #: Second deferral source: the owning manager's hit log (aliased in
-        #: by ``BufferManager._refresh_fast_path`` when its fully deferred
-        #: fast path is live).  Tables without such an owner — ghost
-        #: caches, standalone tests — keep the empty-tuple sentinel.
-        self.log: "list[Frame] | tuple" = ()
-        #: What a lazy read calls to make the chain (and, for a manager
-        #: owner, the deferred hit bookkeeping) current.  Defaults to the
-        #: chain-only splice replay.
-        self.flush_hook = self._flush_pending
 
     # ------------------------------------------------------------------
     # Recency chain
@@ -146,15 +119,11 @@ class FrameTable(dict):
     @property
     def head(self) -> Frame | None:
         """Least-recently-used end of the recency chain (first victim pick)."""
-        if self.pending or self.log:
-            self.flush_hook()
         return self._head
 
     @property
     def tail(self) -> Frame | None:
         """Most-recently-used end of the recency chain."""
-        if self.pending or self.log:
-            self.flush_hook()
         return self._tail
 
     def _link_tail(self, frame: Frame) -> None:
@@ -181,8 +150,12 @@ class FrameTable(dict):
         frame.lru_prev = None
         frame.lru_next = None
 
-    def _splice_to_tail(self, frame: Frame) -> None:
-        """The actual O(1) pointer surgery of one recency renewal."""
+    def move_to_tail(self, frame: Frame) -> None:
+        """Renew ``frame``'s recency: O(1) pointer surgery to the MRU end.
+
+        Timestamps on the frame are the caller's business; this only
+        moves it in the chain.
+        """
         if self._tail is frame:
             return
         prev = frame.lru_prev
@@ -198,78 +171,12 @@ class FrameTable(dict):
         frame.lru_next = None
         self._tail = frame
 
-    def _flush_pending(self) -> None:
-        """Replay deferred renewals: last access per frame wins, in order.
-
-        ``dict.fromkeys(reversed(...))`` keeps each frame's *last* pending
-        occurrence at C speed; replaying those in chronological order
-        restores invariant 2 exactly — the chain ends up identical to one
-        maintained eagerly.  Every entry references a resident frame:
-        hits only touch resident pages, and :meth:`admit`/:meth:`adopt`/
-        :meth:`remove` flush before a frame can leave the table or a slot
-        can be recycled.
-        """
-        pending = self.pending
-        newest_first = dict.fromkeys(reversed(pending))
-        pending.clear()
-        splice = self._splice_to_tail
-        for frame in reversed(newest_first):
-            splice(frame)
-
-    def move_to_tail(self, frame: Frame) -> None:
-        """Renew ``frame``'s recency; the splice itself is deferred.
-
-        Appending to :attr:`pending` is all a hit pays; the chain is
-        repaired wholesale (deduplicated) at the next read.  Timestamps on
-        the frame are the caller's business and stay eager, so only the
-        *chain order* is lazy — never anything a policy computes from
-        frame fields.
-        """
-        pending = self.pending
-        pending.append(frame)
-        if len(pending) >= self.PENDING_LIMIT:
-            self._flush_pending()
-
     def iter_recency(self) -> Iterator[Frame]:
         """Resident frames from least to most recently used."""
-        if self.pending or self.log:
-            self.flush_hook()
         frame = self._head
         while frame is not None:
             yield frame
             frame = frame.lru_next
-
-    # ------------------------------------------------------------------
-    # Flushing dict accessors: any read that could observe deferred state
-    # (frame stamps, chain order) makes it current first.  ``get`` is the
-    # deliberate exception — it is the hot-path probe, and the fast path
-    # maintains its own deferral discipline.
-    # ------------------------------------------------------------------
-
-    def __getitem__(self, page_id: PageId) -> Frame:
-        if self.pending or self.log:
-            self.flush_hook()
-        return dict.__getitem__(self, page_id)
-
-    def __iter__(self) -> Iterator[PageId]:
-        if self.pending or self.log:
-            self.flush_hook()
-        return dict.__iter__(self)
-
-    def keys(self):  # type: ignore[override]
-        if self.pending or self.log:
-            self.flush_hook()
-        return dict.keys(self)
-
-    def values(self):  # type: ignore[override]
-        if self.pending or self.log:
-            self.flush_hook()
-        return dict.values(self)
-
-    def items(self):  # type: ignore[override]
-        if self.pending or self.log:
-            self.flush_hook()
-        return dict.items(self)
 
     # ------------------------------------------------------------------
     # Admission / removal
@@ -282,10 +189,6 @@ class FrameTable(dict):
         every admit reuses a free slot in place (criterion cache cleared,
         counters reset) so the miss path allocates nothing.
         """
-        if self.pending or self.log:
-            # Deferred renewals precede this admission chronologically and
-            # must land before the new tail frame.
-            self.flush_hook()
         stale = dict.pop(self, page.page_id, None)
         if stale is not None:
             # Re-admitting a resident id (a concurrent install raced a miss
@@ -327,8 +230,6 @@ class FrameTable(dict):
         Adopted frames keep ``slot == -1`` and are never recycled into the
         pool — their lifetime belongs to the caller.
         """
-        if self.pending or self.log:
-            self.flush_hook()
         dict.__setitem__(self, frame.page.page_id, frame)
         self._link_tail(frame)
         return frame
@@ -340,10 +241,6 @@ class FrameTable(dict):
         so eviction hooks holding the frame observe its final state; the
         slot is only rewritten by a later :meth:`admit`.
         """
-        if self.pending or self.log:
-            # Apply the frame's own deferred renewals while it is still
-            # linked; afterwards no deferred entry may reference it.
-            self.flush_hook()
         frame = dict.pop(self, page_id, None)
         if frame is None:
             return None
@@ -355,9 +252,6 @@ class FrameTable(dict):
     def clear(self) -> None:  # type: ignore[override]
         """Drop every resident frame and reset the chain; slots survive."""
         dict.clear(self)
-        self.pending.clear()
-        if self.log:
-            del self.log[:]  # type: ignore[union-attr]
         self._head = None
         self._tail = None
         self._free = list(self.slots)

@@ -39,7 +39,7 @@ from collections import OrderedDict
 
 from repro.buffer.frames import Frame, FrameTable
 from repro.buffer.manager import BufferFullError, BufferManager
-from repro.buffer.policies.base import ReplacementPolicy, deprecated_keyword
+from repro.buffer.policies.base import ReplacementPolicy
 from repro.buffer.policies.spatial import SPATIAL_CRITERIA, spatial_criterion
 from repro.obs.events import BufferEvent
 from repro.storage.page import PageId
@@ -55,14 +55,8 @@ class ASB(ReplacementPolicy):
         candidate_fraction: float = 0.25,
         step_fraction: float = 0.01,
         record_trace: bool = False,
-        *,
-        initial_fraction: float | None = None,
     ) -> None:
         super().__init__()
-        if initial_fraction is not None:
-            candidate_fraction = deprecated_keyword(
-                "ASB", "initial_fraction", "candidate_fraction", initial_fraction
-            )
         if criterion not in SPATIAL_CRITERIA:
             raise ValueError(f"unknown spatial criterion {criterion!r}")
         if not 0.0 <= overflow_fraction < 1.0:
@@ -109,12 +103,6 @@ class ASB(ReplacementPolicy):
             self.main_capacity,
             max(1, round(self.candidate_fraction * self.main_capacity)),
         )
-
-    @property
-    def initial_fraction(self) -> float:
-        """Deprecated alias of :attr:`candidate_fraction`."""
-        deprecated_keyword("ASB", "initial_fraction", "candidate_fraction", None)
-        return self.candidate_fraction
 
     @property
     def candidate_size(self) -> int:
@@ -210,9 +198,7 @@ class ASB(ReplacementPolicy):
 
     def _adapt(self, promoted: Frame) -> None:
         """Compare the two criteria on the overflow pages (Section 4.2)."""
-        # ``frames.get`` is the raw (non-flushing) lookup: this loop reads
-        # only frame fields, which are always current — the deferred state
-        # of the recency chain is irrelevant here.
+        # Bound once: the loop probes the frame table per overflow page.
         lookup = self.buffer.frames.get
         criterion = self.criterion
         crit_p = spatial_criterion(promoted, criterion)

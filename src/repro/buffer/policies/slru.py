@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 
 from repro.buffer.frames import Frame, FrameTable
-from repro.buffer.policies.base import ReplacementPolicy, deprecated_keyword
+from repro.buffer.policies.base import ReplacementPolicy
 from repro.buffer.policies.spatial import SPATIAL_CRITERIA, spatial_criterion
 from repro.storage.page import PageId
 
@@ -38,24 +38,12 @@ def select_from_candidates(
 class SLRU(ReplacementPolicy):
     """LRU candidate set of a fixed fraction + spatial victim selection.
 
-    ``candidate_fraction`` is the canonical keyword for the candidate-set
-    size (the same concept — and the same keyword — as ASB's initial
-    candidate fraction).  The pre-1.1 keyword ``fraction`` still works but
-    emits a :class:`DeprecationWarning`.
+    ``candidate_fraction`` is the candidate-set size (the same concept —
+    and the same keyword — as ASB's initial candidate fraction).
     """
 
-    def __init__(
-        self,
-        candidate_fraction: float = 0.25,
-        criterion: str = "A",
-        *,
-        fraction: float | None = None,
-    ) -> None:
+    def __init__(self, candidate_fraction: float = 0.25, criterion: str = "A") -> None:
         super().__init__()
-        if fraction is not None:
-            candidate_fraction = deprecated_keyword(
-                "SLRU", "fraction", "candidate_fraction", fraction
-            )
         if not 0.0 < candidate_fraction <= 1.0:
             raise ValueError("candidate fraction must be in (0, 1]")
         if criterion not in SPATIAL_CRITERIA:
@@ -63,12 +51,6 @@ class SLRU(ReplacementPolicy):
         self.candidate_fraction = candidate_fraction
         self.criterion = criterion
         self.name = f"SLRU {int(round(candidate_fraction * 100))}%"
-
-    @property
-    def fraction(self) -> float:
-        """Deprecated alias of :attr:`candidate_fraction`."""
-        deprecated_keyword("SLRU", "fraction", "candidate_fraction", None)
-        return self.candidate_fraction
 
     def retune(
         self,

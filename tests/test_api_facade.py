@@ -77,26 +77,6 @@ class TestMakePolicy:
 
 
 class TestDeprecatedKeywords:
-    def test_slru_fraction_keyword_warns_and_still_works(self):
-        with pytest.warns(DeprecationWarning, match="candidate_fraction"):
-            policy = SLRU(fraction=0.4)
-        assert policy.candidate_fraction == 0.4
-
-    def test_asb_initial_fraction_keyword_warns_and_still_works(self):
-        with pytest.warns(DeprecationWarning, match="candidate_fraction"):
-            policy = ASB(initial_fraction=0.3)
-        assert policy.candidate_fraction == 0.3
-
-    def test_deprecated_properties_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            slru = SLRU(candidate_fraction=0.25)
-            asb = ASB()
-        with pytest.warns(DeprecationWarning):
-            assert slru.fraction == 0.25
-        with pytest.warns(DeprecationWarning):
-            assert asb.initial_fraction == asb.candidate_fraction
-
     def test_canonical_keywords_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

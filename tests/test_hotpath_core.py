@@ -1,21 +1,15 @@
-"""Equivalence and deferred-state tests for the slot-based hot path.
+"""Equivalence tests for the slot-based hot path.
 
-The fast path defers per-hit bookkeeping into a hit log that is
-materialised before any reader can observe buffer state; attaching an
-observer forces the fully decomposed path.  These tests pin the contract
-between the two:
+A seam-free buffer serves hits through the eager closure; attaching an
+observer forces the decomposed ``begin_request``/``serve_hit`` path.
+These tests pin the contract between the two:
 
 * driving the same reference string through both modes produces the same
-  hit/miss decisions, statistics, resident set, recency order,
-  access counts and clock — the deferral is invisible;
+  hit/miss decisions, statistics, resident set, recency order, access
+  counts, frame stamps and clock, and in both the recency chain is in
+  strictly ascending ``last_access`` order;
 * management operations (``switch_policy``, ``clear``, ``discard``)
-  issued while deferred hits are pending behave exactly as if every hit
-  had been processed eagerly.
-
-Raw ``last_access`` / ``last_query`` *values* are deliberately not
-compared across modes: the flush assigns compressed stamps whose order
-(the only thing any consumer uses) matches the eager path, but whose
-magnitudes do not.
+  issued after unscoped hits see every hit fully applied.
 """
 
 from __future__ import annotations
@@ -64,6 +58,10 @@ def make_buffer(policy_name: str, observed: bool) -> BufferManager:
 
 def snapshot(buffer: BufferManager) -> dict:
     """Everything both modes must agree on (order matters for recency)."""
+    chain = [frame.last_access for frame in buffer.frames.iter_recency()]
+    assert all(a < b for a, b in zip(chain, chain[1:])), (
+        "recency chain is not in strictly ascending last_access order"
+    )
     return {
         "requests": buffer.stats.requests,
         "hits": buffer.stats.hits,
@@ -75,12 +73,16 @@ def snapshot(buffer: BufferManager) -> dict:
             frame.page.page_id: frame.access_count
             for frame in buffer.frames.values()
         },
+        "stamps": {
+            frame.page.page_id: (frame.last_access, frame.last_query)
+            for frame in buffer.frames.values()
+        },
     }
 
 
 # Each step: (page_id, scoped, peek).  ``scoped`` wraps the fetch in a
-# query scope (which disables the deferred branch for that access);
-# ``peek`` reads the statistics right after, forcing a mid-trace flush.
+# query scope (its hits share the scope's query id); ``peek`` records the
+# miss counter right after, so decisions are compared mid-trace.
 trace_steps = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=N_PAGES - 1),
@@ -127,24 +129,23 @@ class TestCrossModeEquivalence:
         slow = make_buffer("LRU", observed=True)
         drive(fast, steps[:half])
         drive(slow, steps[:half])
-        fast.observer = NullSink()  # forces a flush + path rebuild
+        fast.observer = NullSink()  # rebinds fetch to the decomposed path
         drive(fast, steps[half:])
         drive(slow, steps[half:])
         assert snapshot(fast) == snapshot(slow)
 
 
-class TestDeferredStateManagement:
-    def fill_with_pending_hits(self, policy_name: str = "LRU") -> BufferManager:
+class TestManagementAfterUnscopedHits:
+    def fill_with_unscoped_hits(self, policy_name: str = "LRU") -> BufferManager:
         buffer = make_buffer(policy_name, observed=False)
         for page_id in range(CAPACITY):
             buffer.fetch(page_id)
-        for page_id in (2, 0, 4, 2, 1):  # all hits → deferred in the log
+        for page_id in (2, 0, 4, 2, 1):  # all hits, outside any query scope
             buffer.fetch(page_id)
-        assert buffer._hit_log, "test setup: expected deferred hits"
         return buffer
 
-    def test_switch_policy_with_pending_hits_loses_no_pages(self):
-        buffer = self.fill_with_pending_hits()
+    def test_switch_policy_loses_no_pages(self):
+        buffer = self.fill_with_unscoped_hits()
         resident_before = set(buffer.frames.keys())
         buffer.switch_policy(make_policy("MRU"))
         assert set(buffer.frames.keys()) == resident_before
@@ -156,25 +157,25 @@ class TestDeferredStateManagement:
         buffer.fetch(CAPACITY + 1)
         assert len(buffer) == CAPACITY
 
-    def test_switch_policy_seeds_deferred_recency_order(self):
-        buffer = self.fill_with_pending_hits()
+    def test_switch_policy_seeds_recency_order(self):
+        buffer = self.fill_with_unscoped_hits()
         expected = [f.page.page_id for f in buffer.frames.iter_recency()]
         buffer.switch_policy(make_policy("LRU"))
         assert [f.page.page_id for f in buffer.frames.iter_recency()] == expected
 
-    def test_clear_with_pending_hits_keeps_the_clock(self):
-        buffer = self.fill_with_pending_hits()
+    def test_clear_keeps_the_clock(self):
+        buffer = self.fill_with_unscoped_hits()
         requests = CAPACITY + 5
         buffer.clear()
         assert len(buffer) == 0
         assert buffer.stats.requests == 0
-        # The deferred hits happened; their clock ticks survive the clear.
+        # The clear resets stats, not the clock.
         assert buffer.clock == requests
 
-    def test_discard_with_pending_hits_drops_only_the_target(self):
-        buffer = self.fill_with_pending_hits()
+    def test_discard_drops_only_the_target(self):
+        buffer = self.fill_with_unscoped_hits()
         order = [f.page.page_id for f in buffer.frames.iter_recency()]
-        buffer = self.fill_with_pending_hits()
+        buffer = self.fill_with_unscoped_hits()
         evictions = buffer.stats.evictions
         buffer.discard(4)
         assert not buffer.contains(4)
@@ -182,8 +183,8 @@ class TestDeferredStateManagement:
         survivors = [f.page.page_id for f in buffer.frames.iter_recency()]
         assert survivors == [pid for pid in order if pid != 4]
 
-    def test_discard_nonresident_with_pending_hits_is_noop(self):
-        buffer = self.fill_with_pending_hits()
+    def test_discard_nonresident_is_noop(self):
+        buffer = self.fill_with_unscoped_hits()
         before = snapshot(buffer)
         buffer.discard(N_PAGES + 100)
         assert snapshot(buffer) == before
