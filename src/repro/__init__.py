@@ -47,7 +47,7 @@ from repro.access import (
     FullPageAccessor,
     PageAccessor,
 )
-from repro.api import BufferSystem, ClusterSystem, build_buffer_system
+from repro.api import BufferSystem, ClusterSystem
 from repro.buffer.concurrent import ConcurrentBufferManager
 from repro.buffer.manager import BufferFullError, BufferManager
 from repro.buffer.policies import (
@@ -122,7 +122,6 @@ __all__ = [
     # facade
     "BufferSystem",
     "ClusterSystem",
-    "build_buffer_system",
     # self-tuning
     "TuningSpec",
     "FittedWeights",

@@ -28,7 +28,6 @@ experiment harness all construct through this facade.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -153,9 +152,7 @@ class BufferSystem:
             seeded from an offline-fitted ``weights_path`` artifact).
             A raw :class:`~repro.tuning.TuningConfig` is the advanced
             controller surface and passes through unchanged.  The
-            legacy spellings — ``tuning=True`` and a plain options
-            mapping — still work behind a ``DeprecationWarning`` shim.
-            The controller is exposed as ``system.tuner``.
+            controller is exposed as ``system.tuner``.
         ``coalescing``
             ``True`` (default) keeps per-shard miss coalescing: one disk
             read per concurrent miss group, waiters served from the
@@ -304,13 +301,11 @@ class BufferSystem:
 
     @staticmethod
     def _normalise_tuning(tuning: object) -> object | None:
-        """Normalise ``tuning=`` to a TuningSpec/TuningConfig (or None).
+        """Check ``tuning=`` is a TuningSpec/TuningConfig (or None).
 
         The typed surfaces (:class:`~repro.tuning.TuningSpec`, raw
-        :class:`~repro.tuning.TuningConfig`) pass through; the legacy
-        ``True`` and plain-mapping spellings are converted behind a
-        ``DeprecationWarning``, mirroring the SLRU/ASB keyword
-        normalisation of the policy layer.
+        :class:`~repro.tuning.TuningConfig`) pass through; anything else
+        is a :class:`TypeError`.
         """
         if tuning is None or tuning is False:
             return None
@@ -318,24 +313,8 @@ class BufferSystem:
 
         if isinstance(tuning, (TuningSpec, TuningConfig)):
             return tuning
-        if tuning is True:
-            warnings.warn(
-                "tuning=True is deprecated; pass tuning=TuningSpec()",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return TuningSpec()
-        if isinstance(tuning, Mapping):
-            warnings.warn(
-                "tuning={...} is deprecated; pass "
-                "tuning=TuningSpec(**options)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            return TuningSpec.from_mapping(tuning)
         raise TypeError(
-            "tuning must be None, a TuningSpec, or a TuningConfig "
-            "(legacy: True or a mapping of TuningSpec options); got "
+            "tuning must be None, a TuningSpec, or a TuningConfig; got "
             f"{type(tuning).__name__}"
         )
 
@@ -586,11 +565,6 @@ class BufferSystem:
 
     def resident_ids(self) -> "list[PageId]":
         return self.buffer.resident_ids()
-
-
-def build_buffer_system(**kwargs) -> BufferSystem:
-    """Module-level convenience alias of :meth:`BufferSystem.build`."""
-    return BufferSystem.build(**kwargs)
 
 
 @dataclass

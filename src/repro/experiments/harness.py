@@ -15,7 +15,7 @@ The experimental protocol follows Section 3 of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from repro.access import FullPageAccessor
 from repro.buffer.manager import BufferManager
@@ -25,6 +25,7 @@ from repro.datasets.places import Place, synthetic_places
 from repro.datasets.synthetic import Dataset
 from repro.sam.base import SpatialIndex
 from repro.sam.rstar import RStarTree
+from repro.workloads.queries import Query
 from repro.workloads.sets import QuerySet, make_query_set
 
 #: A fresh policy per replay — policies bind to one buffer manager.
@@ -95,7 +96,7 @@ def buffer_capacity(database: Database, fraction: float) -> int:
 def run_queries(
     accessor: FullPageAccessor,
     index: SpatialIndex,
-    query_set: QuerySet,
+    query_set: Iterable[Query],
     after_query: Callable[[int, FullPageAccessor], None] | None = None,
 ) -> FullPageAccessor:
     """Drive a query set through *any* page accessor.
@@ -116,7 +117,7 @@ def run_queries(
 
 def replay(
     index: SpatialIndex,
-    query_set: QuerySet,
+    query_set: Iterable[Query],
     policy: ReplacementPolicy,
     capacity: int,
     after_query: Callable[[int, BufferManager], None] | None = None,
@@ -162,7 +163,6 @@ def replay_mixed(
     Dirty pages remaining at the end are flushed, so the write count is
     complete.
     """
-    from repro.workloads.queries import Query
     from repro.workloads.updates import UpdateOp
 
     buffer = BufferManager(index.pagefile.disk, capacity, policy, observer=observer)
@@ -223,7 +223,7 @@ def gain(lru_accesses: int, policy_accesses: int) -> float:
 
 def compare_policies(
     index: SpatialIndex,
-    query_set: QuerySet,
+    query_set: Iterable[Query],
     policies: Mapping[str, PolicyFactory],
     capacity: int,
 ) -> dict[str, int]:
@@ -241,7 +241,7 @@ def compare_policies(
 
 def gains_vs_lru(
     index: SpatialIndex,
-    query_set: QuerySet,
+    query_set: Iterable[Query],
     policies: Mapping[str, PolicyFactory],
     capacity: int,
 ) -> dict[str, float]:

@@ -6,8 +6,11 @@ experiment), so the complete paper-vs-measured evidence regenerates with::
 
     python -m repro reproduce --out results/
 
-The benches under ``benchmarks/`` wrap the same experiment functions for
-pytest-benchmark; this module is the scriptable entry point.
+Both registries live beside their experiments — ``ALL_FIGURES`` in
+:mod:`repro.experiments.figures`, ``ALL_ABLATIONS`` in
+:mod:`repro.experiments.paper_ablations`.  ``benchmarks/bench_paper.py``
+runs the same registries under pytest-benchmark; this module is the
+scriptable entry point.
 """
 
 from __future__ import annotations
@@ -16,31 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro.experiments import ablation as ablations
 from repro.experiments.figures import ALL_FIGURES, FigureResult, PaperSetup, make_setup
-
-#: Every ablation, by report label.
-ALL_ABLATIONS: dict[str, Callable[[PaperSetup], FigureResult]] = {
-    "ablation_overflow_size": ablations.ablation_overflow_size,
-    "ablation_step_size": ablations.ablation_step_size,
-    "ablation_sams": ablations.ablation_sams,
-    "ablation_baselines": ablations.ablation_baselines,
-    "ablation_pinned_levels": ablations.ablation_pinned_levels,
-    "ablation_adaptive_buffers": ablations.ablation_adaptive_buffers,
-    "ablation_object_pages": ablations.ablation_object_pages,
-    "ablation_partitioned_buffer": ablations.ablation_partitioned_buffer,
-    "ablation_updates": ablations.ablation_updates,
-    "ablation_moving_objects": lambda setup: ablations.ablation_updates(
-        setup, moving=True
-    ),
-    "ablation_io_time": ablations.ablation_io_time,
-    "ablation_join": ablations.ablation_join,
-    "ablation_drifting_hotspot": ablations.ablation_drifting_hotspot,
-    "ablation_knn": ablations.ablation_knn,
-    "ablation_multiclient": ablations.ablation_multiclient,
-    "ablation_opt_gap": ablations.ablation_opt_gap,
-    "ablation_build_method": ablations.ablation_build_method,
-}
+from repro.experiments.paper_ablations import ALL_ABLATIONS
 
 
 @dataclass(slots=True)

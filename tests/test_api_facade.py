@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from repro.api import BufferSystem, build_buffer_system
+from repro.api import BufferSystem
 from repro.buffer.concurrent import ConcurrentBufferManager
 from repro.buffer.manager import BufferManager
 from repro.buffer.policies import make_policy, policy_names
@@ -115,7 +115,7 @@ class TestBuildDefaults:
         assert system.stats_snapshot() == hand.stats.snapshot()
 
     def test_module_level_alias(self):
-        system = build_buffer_system(policy="FIFO", capacity=8)
+        system = BufferSystem.build(policy="FIFO", capacity=8)
         assert system.policy_name == "FIFO"
         assert system.capacity == 8
 

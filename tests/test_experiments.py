@@ -23,6 +23,7 @@ from repro.experiments.harness import (
     replay,
 )
 from repro.experiments.report import format_gain, format_ratio, format_table
+from tests.paper_tables import assert_matches_golden
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +162,7 @@ class TestFigures:
         assert result.title in text
         for row in result.rows:
             assert len(row) == len(result.headers)
+        assert_matches_golden(result)
 
     def test_figure_14_trace_spans_all_phases(self, tiny_setup):
         result = figure_14(tiny_setup, queries_per_phase=30)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.ablation import (
+from repro.experiments.paper_ablations import (
     ablation_adaptive_buffers,
     ablation_baselines,
     ablation_build_method,
@@ -27,6 +27,7 @@ from repro.experiments.ablation import (
     ablation_updates,
 )
 from repro.experiments.figures import FigureResult, make_setup
+from tests.paper_tables import assert_matches_golden
 
 
 @pytest.fixture(scope="module")
@@ -46,24 +47,8 @@ def check(result: FigureResult):
         assert len(row) == len(result.headers)
     text = result.to_text()
     assert result.title in text
+    assert_matches_golden(result)
     return result
-
-
-class TestDeprecatedAlias:
-    def test_ablations_module_warns_and_reexports(self):
-        import importlib
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            import repro.experiments.ablations as legacy
-
-        with pytest.warns(DeprecationWarning, match="repro.experiments.ablation"):
-            legacy = importlib.reload(legacy)
-        from repro.experiments import ablation
-
-        assert legacy.ablation_overflow_size is ablation.ablation_overflow_size
-        assert legacy.ABLATION_SETS == ablation.ABLATION_SETS
 
 
 class TestAblationsRun:

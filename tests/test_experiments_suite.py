@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from repro.experiments.figures import make_setup
+from repro.experiments.figures import ALL_FIGURES, make_setup
 from repro.experiments.suite import (
     ALL_ABLATIONS,
     ReproductionRun,
@@ -61,17 +66,44 @@ class TestSuite:
         assert "Errors" in run.to_markdown()
 
     def test_ablation_registry_complete(self):
-        # Every public ablation function is registered in the suite.
-        from repro.experiments import ablations as module
+        # The registry and the module's public ablations are the same set
+        # of callables.  The one alias: ablation_moving_objects runs
+        # ablation_updates with a moving-objects stream.
+        from repro.experiments import paper_ablations as module
 
         public = {
-            name
+            name: getattr(module, name)
             for name in dir(module)
             if name.startswith("ablation_")
         }
-        registered = set(ALL_ABLATIONS) | {"ablation_updates"}
-        # moving objects shares the updates function under its own label.
-        assert public <= registered | {"ablation_updates"}
+        registered = dict(ALL_ABLATIONS)
+        registered.pop("ablation_moving_objects")
+        assert registered == public
+        # benchmarks/bench_paper.py runs one test per figure and ablation.
+        repo = Path(__file__).resolve().parents[1]
+        collected = subprocess.run(
+            [
+                sys.executable, "-m", "pytest", "--collect-only",
+                "-p", "no:cacheprovider", "benchmarks/bench_paper.py",
+            ],
+            cwd=repo,
+            env={**os.environ, "PYTHONPATH": str(repo / "src")},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout.split()
+        ids = [line for line in collected if line.startswith("benchmarks/")]
+        registry = set(ALL_FIGURES) | set(ALL_ABLATIONS)
+        covered = {
+            name
+            for name in registry
+            if any(
+                test_id.endswith((f"[{name}]", f"::test_{name}"))
+                for test_id in ids
+            )
+        }
+        assert covered == registry
+        assert len(ids) == len(registry)
 
     def test_empty_run(self, tiny_setup):
         run = run_reproduction(

@@ -35,6 +35,7 @@ from repro.tuning import (
     PageMeta,
     TuningConfig,
     TuningController,
+    TuningSpec,
     candidate_variants,
     default_candidates,
 )
@@ -359,13 +360,15 @@ class TestConfigAndCandidates:
             candidate_variants("LRU", {"k": [2]})
 
     def test_build_rejects_bad_tuning_argument(self):
-        with pytest.raises(TypeError):
-            BufferSystem.build(policy="LRU", capacity=8, tuning="yes please")
+        # Only a TuningSpec or a TuningConfig (or None) is accepted.
+        for tuning in ("yes please", True, {"epoch_length": 32}):
+            with pytest.raises(TypeError):
+                BufferSystem.build(policy="LRU", capacity=8, tuning=tuning)
 
     def test_build_with_tuning_true_wires_a_controller(self):
-        # ``tuning=True`` is the deprecated spelling of TuningSpec().
-        with pytest.warns(DeprecationWarning, match="TuningSpec"):
-            system = BufferSystem.build(policy="LRU", capacity=8, tuning=True)
+        system = BufferSystem.build(
+            policy="LRU", capacity=8, tuning=TuningSpec()
+        )
         assert system.tuner is not None
         assert system.buffer.tuner is system.tuner
         assert "tuning" in system.stats_snapshot()

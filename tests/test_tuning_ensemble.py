@@ -271,23 +271,11 @@ class TestTuningSpec:
         with pytest.raises(ValueError):
             TuningSpec(mode="ensemble", experts=())
 
-    def test_from_mapping_names_unknown_keys(self):
-        with pytest.raises(TypeError, match="epoch_len"):
-            TuningSpec.from_mapping({"epoch_len": 100})
-
     def test_build_with_spec_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             system = BufferSystem.build(
                 policy="LRU", capacity=8, tuning=TuningSpec(epoch_length=32)
-            )
-        assert system.tuner is not None
-        assert system.tuner.config.epoch_length == 32
-
-    def test_build_with_mapping_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="TuningSpec"):
-            system = BufferSystem.build(
-                policy="LRU", capacity=8, tuning={"epoch_length": 32}
             )
         assert system.tuner is not None
         assert system.tuner.config.epoch_length == 32
